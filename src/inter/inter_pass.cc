@@ -60,7 +60,7 @@ StageDpResult SolveEqualLayerForCount(int num_stages, int num_layers, int num_mi
   std::vector<int> choice(static_cast<size_t>(num_stages + 1) * width, -1);
   dp[static_cast<size_t>(num_stages) * width + 0] = 0.0;
   for (int s = num_stages - 1; s >= 0; --s) {
-    const int in_flight = num_stages - s;
+    const int in_flight = std::min(num_stages - s, num_microbatches);
     for (size_t shape_index = 0; shape_index < num_shapes; ++shape_index) {
       const StageProfile& p = profile_at(s, shape_index);
       if (!std::isfinite(p.t_intra)) {
@@ -161,20 +161,23 @@ double EffectiveLatency(const StageProfile& p, int num_microbatches) {
 }
 
 // Per-device bytes stage `s` (0-based, of `num_stages`) holds at the 1F1B
-// peak: weights + (num_stages - s) in-flight activations + workspace.
-double StagePeakBytes(const StageProfile& p, int s, int num_stages) {
-  return p.weight_bytes + (num_stages - s) * p.act_bytes_per_microbatch + p.work_bytes;
+// peak: weights + min(num_stages - s, B) in-flight activations + workspace.
+double StagePeakBytes(const StageProfile& p, int s, int num_stages, int num_microbatches) {
+  return p.weight_bytes +
+         std::min(num_stages - s, num_microbatches) * p.act_bytes_per_microbatch +
+         p.work_bytes;
 }
 
 // True when every stage fits its placement's ACTUAL device memory (the DP
 // checked against the reference generation only).
 bool PlacementsMemoryFeasible(const ClusterSpec& cluster,
                               const std::vector<StageProfile>& profiles,
-                              const std::vector<MeshPlacement>& placements) {
+                              const std::vector<MeshPlacement>& placements,
+                              int num_microbatches) {
   const int num_stages = static_cast<int>(placements.size());
   for (int s = 0; s < num_stages; ++s) {
     const StageProfile& p = profiles[static_cast<size_t>(s)];
-    if (StagePeakBytes(p, s, num_stages) >
+    if (StagePeakBytes(p, s, num_stages, num_microbatches) >
         PlacementMemoryBytes(cluster, placements[static_cast<size_t>(s)])) {
       return false;
     }
@@ -364,18 +367,21 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
         [&](size_t s) { return EffectiveLatency(stage_profiles[s], options.num_microbatches); },
         [&](const MeshPlacement& p) { return PlacementTimeScale(cluster, p, precision); },
         &*placements);
-    if (!PlacementsMemoryFeasible(cluster, stage_profiles, *placements)) {
+    if (!PlacementsMemoryFeasible(cluster, stage_profiles, *placements,
+                                  options.num_microbatches)) {
       // Feasibility beats speed: biggest stages onto the roomiest meshes.
       MatchPlacements(
           chosen_shapes,
           [&](size_t s) {
-            return StagePeakBytes(stage_profiles[s], static_cast<int>(s), num_stages);
+            return StagePeakBytes(stage_profiles[s], static_cast<int>(s), num_stages,
+                                  options.num_microbatches);
           },
           [&](const MeshPlacement& p) { return -PlacementMemoryBytes(cluster, p); },
           &*placements);
     }
   }
-  if (hetero && !PlacementsMemoryFeasible(cluster, stage_profiles, *placements)) {
+  if (hetero && !PlacementsMemoryFeasible(cluster, stage_profiles, *placements,
+                                          options.num_microbatches)) {
     fill_profiler_stats();
     pipeline.stats.total_seconds = NowSeconds() - t_start;
     pipeline.infeasible_reason = StrFormat(

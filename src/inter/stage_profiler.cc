@@ -185,8 +185,8 @@ void StageProfiler::EnsureLayer(int layer, int variant_index) {
 
 const IntraOpResult& StageProfiler::CellResult(int layer, int variant_index) const {
   const int canonical = dedup_layer_[static_cast<size_t>(layer)];
-  return layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(variant_index)]
-      .result;
+  return *layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(variant_index)]
+              .result;
 }
 
 void StageProfiler::SolveCell(int canonical, int variant_index, LayerCell* cell) {
@@ -211,7 +211,10 @@ void StageProfiler::SolveCell(int canonical, int variant_index, LayerCell* cell)
       ComputeIlpCacheKey(cluster_, variant.physical, variant.logical,
                          static_cast<int>(variant.mode), options_.intra,
                          layer_hashes_[static_cast<size_t>(canonical)], &key);
-  if (cacheable && IlpMemoCache::Global().Lookup(key, &cell->result)) {
+  if (cacheable) {
+    cell->result = IlpMemoCache::Global().Lookup(key);
+  }
+  if (cell->result != nullptr) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     annotate(/*cache_hit=*/true);
     AddProfilingSeconds(NowSeconds() - start);
@@ -230,13 +233,12 @@ void StageProfiler::SolveCell(int canonical, int variant_index, LayerCell* cell)
   // with or without the pool, so this does not perturb the cache key.
   intra.solver.pool = pool_;
   const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variant.logical);
-  cell->result = SolveIntraOp(subgraph.graph, mesh, intra);
+  auto solved = std::make_shared<const IntraOpResult>(SolveIntraOp(subgraph.graph, mesh, intra));
   num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
   static Metric* solves_metric = Metrics::Get("ilp/solves");
   solves_metric->Add(1);
-  if (cacheable) {
-    IlpMemoCache::Global().Insert(key, cell->result);
-  }
+  cell->result = cacheable ? IlpMemoCache::Global().Insert(key, std::move(solved))
+                           : std::move(solved);
   AddProfilingSeconds(NowSeconds() - start);
 }
 

@@ -22,7 +22,8 @@
 // serial compilation produce bit-identical profiles. Solves are further
 // memoized process-wide in IlpMemoCache so structurally identical layers
 // across profiler instances (benchmark sweeps, repeated compilations)
-// reuse each other's work.
+// reuse each other's work; a memo hit shares the cached result object
+// rather than copying it.
 #ifndef SRC_INTER_STAGE_PROFILER_H_
 #define SRC_INTER_STAGE_PROFILER_H_
 
@@ -30,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
@@ -95,7 +97,9 @@ class StageProfiler {
 
   // Per-layer intra-op solution of a variant (plan reporting / final stage
   // compilation). Infeasible result if the variant cannot run the layer.
-  // Thread-safe; the reference stays valid for the profiler's lifetime.
+  // Thread-safe; the reference stays valid for the profiler's lifetime,
+  // even across IlpMemoCache::Clear(). Profilers that hit the same memo
+  // entry return the same object.
   const IntraOpResult& LayerResult(int layer, int variant_index);
   const StageSubgraph& LayerSubgraph(int layer) const;
 
@@ -121,10 +125,12 @@ class StageProfiler {
  private:
   // One dedup-canonical solve slot. call_once makes concurrent eager and
   // on-demand access race-free; once_flag is immovable, so rows are built
-  // in place and never resized after construction.
+  // in place and never resized after construction. The result is
+  // immutable and may be shared with IlpMemoCache and with other profilers
+  // that hit the same memo entry.
   struct LayerCell {
     std::once_flag once;
-    IntraOpResult result;
+    std::shared_ptr<const IntraOpResult> result;
   };
 
   // Runs the cell's solve exactly once (redirecting `layer` through the

@@ -11,7 +11,7 @@ IlpMemoCache& IlpMemoCache::Global() {
   return *cache;
 }
 
-bool IlpMemoCache::Lookup(const IlpCacheKey& key, IntraOpResult* result) {
+std::shared_ptr<const IntraOpResult> IlpMemoCache::Lookup(const IlpCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   static Metric* hits_metric = Metrics::Get("ilp_cache/hits");
@@ -19,19 +19,20 @@ bool IlpMemoCache::Lookup(const IlpCacheKey& key, IntraOpResult* result) {
   if (it == entries_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     misses_metric->Add(1);
-    return false;
+    return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   hits_metric->Add(1);
-  *result = it->second;
-  return true;
+  return it->second;
 }
 
-void IlpMemoCache::Insert(const IlpCacheKey& key, const IntraOpResult& result) {
+std::shared_ptr<const IntraOpResult> IlpMemoCache::Insert(
+    const IlpCacheKey& key, std::shared_ptr<const IntraOpResult> result) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(key, result);
+  const auto it = entries_.try_emplace(key, std::move(result)).first;
   static Metric* size_metric = Metrics::Get("ilp_cache/entries");
   size_metric->Set(static_cast<int64_t>(entries_.size()));
+  return it->second;
 }
 
 IlpCacheStats IlpMemoCache::stats() const {

@@ -23,6 +23,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -48,15 +49,19 @@ class IlpMemoCache {
   // The process-wide instance used by every profiler.
   static IlpMemoCache& Global();
 
-  // Returns true and fills `result` on a hit. Counts a miss otherwise.
-  bool Lookup(const IlpCacheKey& key, IntraOpResult* result);
-  // Inserts a solve; first write wins (all writers hold identical results
-  // for a key, so which one lands is immaterial).
-  void Insert(const IlpCacheKey& key, const IntraOpResult& result);
+  // Entries are immutable and shared: a hit hands out the resident result
+  // by pointer, never a copy. Returns null (and counts a miss) otherwise.
+  std::shared_ptr<const IntraOpResult> Lookup(const IlpCacheKey& key);
+  // Inserts a solve unless the key is already resident, and returns the
+  // resident entry either way: first write wins, and a writer that lost the
+  // race adopts the winner (all writers hold identical results for a key).
+  std::shared_ptr<const IntraOpResult> Insert(const IlpCacheKey& key,
+                                              std::shared_ptr<const IntraOpResult> result);
 
   IlpCacheStats stats() const;
   size_t size() const;
   // Drops all entries and zeroes the counters (tests, fair benchmarks).
+  // Results already handed out stay valid: holders share their ownership.
   void Clear();
 
  private:
@@ -67,7 +72,7 @@ class IlpMemoCache {
   };
 
   mutable std::mutex mu_;
-  std::unordered_map<IlpCacheKey, IntraOpResult, KeyHash> entries_;
+  std::unordered_map<IlpCacheKey, std::shared_ptr<const IntraOpResult>, KeyHash> entries_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
 };

@@ -64,7 +64,7 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
   // Effective stage cost: per-microbatch latency, the amortized share of the
   // once-per-iteration gradient sync, and a vanishing memory tiebreak that
   // prefers the memory-lean variant among equal-time ones. Candidates and
-  // transitions MUST use the same formula.
+  // transitions MUST use the same formula, so both read `t_effective`.
   const auto effective = [num_microbatches](const StageProfile& p) {
     return p.t_intra + p.t_per_iteration / static_cast<double>(num_microbatches) +
            1e-18 * (p.weight_bytes + p.act_bytes_per_microbatch);
@@ -85,13 +85,15 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
   }
   // Candidates are collected serially in index order so the t_max
   // enumeration is byte-identical to a serial build.
+  std::vector<double> t_effective(profiles.size());
   std::vector<double> tmax_candidates;
   for (int begin = 0; begin < num_layers; ++begin) {
     for (int end = begin; end < num_layers; ++end) {
       for (int shape = 0; shape < num_shapes; ++shape) {
-        const StageProfile& p = profiles[profile_index(begin, end, shape)];
-        if (std::isfinite(p.t_intra)) {
-          tmax_candidates.push_back(effective(p));
+        const size_t pidx = profile_index(begin, end, shape);
+        t_effective[pidx] = effective(profiles[pidx]);
+        if (std::isfinite(profiles[pidx].t_intra)) {
+          tmax_candidates.push_back(t_effective[pidx]);
         }
       }
     }
@@ -130,6 +132,16 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
   dp.f.resize(table_size);
   dp.choice_end.resize(table_size);
   dp.choice_shape.resize(table_size);
+  // Finite device range [lo, hi] of each (s, k) row, filled as the row is.
+  // An empty row has lo > hi.
+  const size_t num_rows =
+      static_cast<size_t>(max_stages + 1) * static_cast<size_t>(num_layers + 1);
+  std::vector<int> row_lo(num_rows);
+  std::vector<int> row_hi(num_rows);
+  const auto row = [num_layers](int s, int k) {
+    return static_cast<size_t>(s) * static_cast<size_t>(num_layers + 1) +
+           static_cast<size_t>(k);
+  };
 
   double last_tmax = -kInfCost;
   for (double tmax : tmax_candidates) {
@@ -145,29 +157,48 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
     }
 
     std::fill(dp.f.begin(), dp.f.end(), kInfCost);
+    std::fill(row_lo.begin(), row_lo.end(), total_devices + 1);
+    std::fill(row_hi.begin(), row_hi.end(), -1);
     // Base case: zero layers left, zero stages, zero devices.
     dp.f[dp.Index(0, num_layers, 0)] = 0.0;
+    row_lo[row(0, num_layers)] = 0;
+    row_hi[row(0, num_layers)] = 0;
 
+    // Only reachable states are enumerated: s stages need at least s
+    // layers (s <= L - k, end <= L - s), and d runs over the rest row's
+    // finite range shifted by the stage's devices. Every skipped transition
+    // reads a +inf rest; the kept ones run in the unpruned order, so the
+    // argmin and its strict-< tie order are unchanged.
     for (int k = num_layers - 1; k >= 0; --k) {
-      for (int s = 1; s <= max_stages; ++s) {
-        for (int end = k; end < num_layers; ++end) {
+      const int stages_here = std::min(max_stages, num_layers - k);
+      for (int s = 1; s <= stages_here; ++s) {
+        const size_t here = row(s, k);
+        // The stage being placed is the s-th from the pipeline end, so
+        // under 1F1B it keeps min(s, B) in-flight microbatch activations.
+        const double in_flight = static_cast<double>(std::min(s, num_microbatches));
+        for (int end = k; end <= num_layers - s; ++end) {
+          const size_t rest_row = row(s - 1, end + 1);
+          const int rest_lo = row_lo[rest_row];
+          const int rest_hi = row_hi[rest_row];
+          if (rest_lo > rest_hi) {
+            continue;
+          }
           for (int shape = 0; shape < num_shapes; ++shape) {
-            const StageProfile& p = profiles[profile_index(k, end, shape)];
-            const double t_eff = effective(p);
+            const size_t pidx = profile_index(k, end, shape);
+            const double t_eff = t_effective[pidx];
             // Epsilon tolerance pairs with the candidate skip above and
             // keeps the B*epsilon optimality bound of 5.2.
             if (!(t_eff <= tmax + options.epsilon)) {
               continue;
             }
-            // The stage being placed is the s-th from the pipeline end, so
-            // it keeps s in-flight microbatch activations (1F1B).
-            if (p.weight_bytes + static_cast<double>(s) * p.act_bytes_per_microbatch +
-                    p.work_bytes >
+            const StageProfile& p = profiles[pidx];
+            if (p.weight_bytes + in_flight * p.act_bytes_per_microbatch + p.work_bytes >
                 device_memory) {
               continue;
             }
             const int stage_devices = shapes[static_cast<size_t>(shape)].num_devices();
-            for (int d = stage_devices; d <= total_devices; ++d) {
+            const int d_hi = std::min(rest_hi + stage_devices, total_devices);
+            for (int d = rest_lo + stage_devices; d <= d_hi; ++d) {
               ++result.dp_transitions;
               const double rest = dp.f[dp.Index(s - 1, end + 1, d - stage_devices)];
               if (!std::isfinite(rest)) {
@@ -179,6 +210,8 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
                 dp.choice_end[idx] = end;
                 dp.choice_shape[idx] = shape;
               }
+              row_lo[here] = std::min(row_lo[here], d);
+              row_hi[here] = std::max(row_hi[here], d);
             }
           }
         }

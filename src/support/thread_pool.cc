@@ -160,18 +160,18 @@ void ThreadPool::WorkerMain(int index) {
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
-    wake_.wait(lock, [this] {
-      if (stop_) {
-        return true;
-      }
+    bool queued = false;
+    wake_.wait(lock, [this, &queued] {
+      queued = false;
       for (const auto& queue : queues_) {
-        if (!queue.empty()) {
-          return true;
-        }
+        queued |= !queue.empty();
       }
-      return false;
+      return stop_ || queued;
     });
-    if (stop_) {
+    // Workers drain what was submitted before shutdown, so those tasks run
+    // on a worker (inside a pool_task span) rather than on the destructor's
+    // thread.
+    if (stop_ && !queued) {
       return;
     }
   }

@@ -4,6 +4,9 @@
 // solves through the process-wide memo cache.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/core/api.h"
 #include "src/inter/inter_pass.h"
 #include "src/inter/stage_profiler.h"
@@ -129,6 +132,87 @@ TEST(ParallelCompile, MemoCacheServesSecondProfiler) {
     EXPECT_EQ(a.t_intra, b.t_intra);
     EXPECT_EQ(a.weight_bytes, b.weight_bytes);
   }
+}
+
+TEST(ParallelCompile, MemoHitsShareOneResult) {
+  IlpMemoCache::Global().Clear();
+  Graph graph = BuildGpt(SmallGpt());
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
+  const std::vector<SubmeshShape> shapes = EnumerateSubmeshShapes(cluster);
+  StageProfilerOptions options;
+  options.intra.solver.max_search_nodes = 20'000;
+
+  // A hit hands out the cached result itself: both profilers, the one that
+  // solved and the one that hit, see the same object for every cell.
+  StageProfiler first(graph, cluster, shapes, options);
+  StageProfiler second(graph, cluster, shapes, options);
+  const int num_variants = static_cast<int>(first.variants().size());
+  for (int l = 0; l < first.num_layers(); ++l) {
+    for (int v = 0; v < num_variants; ++v) {
+      const IntraOpResult* solved = &first.LayerResult(l, v);
+      EXPECT_EQ(solved, &second.LayerResult(l, v)) << l << "/" << v;
+    }
+  }
+  EXPECT_EQ(second.num_ilp_solves(), 0);
+  EXPECT_GT(second.cache_hits(), 0);
+}
+
+TEST(ParallelCompile, ClearKeepsHeldResultsReadable) {
+  IlpMemoCache::Global().Clear();
+  Graph graph = BuildGpt(SmallGpt());
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
+  const std::vector<SubmeshShape> shapes = EnumerateSubmeshShapes(cluster);
+  StageProfilerOptions options;
+  options.intra.solver.max_search_nodes = 20'000;
+
+  StageProfiler solver(graph, cluster, shapes, options);
+  StageProfiler warm(graph, cluster, shapes, options);
+  const int num_variants = static_cast<int>(warm.variants().size());
+  std::vector<const IntraOpResult*> held;
+  for (int l = 0; l < warm.num_layers(); ++l) {
+    for (int v = 0; v < num_variants; ++v) {
+      solver.LayerResult(l, v);
+      held.push_back(&warm.LayerResult(l, v));
+    }
+  }
+  EXPECT_EQ(warm.num_ilp_solves(), 0);
+  // Dropping the memo (and the solving profiler) must not invalidate what
+  // the warm profiler holds: its results still equal a cold solve.
+  IlpMemoCache::Global().Clear();
+  StageProfiler cold(graph, cluster, shapes, options);
+  size_t i = 0;
+  for (int l = 0; l < warm.num_layers(); ++l) {
+    for (int v = 0; v < num_variants; ++v, ++i) {
+      const IntraOpResult& a = *held[i];
+      const IntraOpResult& b = cold.LayerResult(l, v);
+      EXPECT_EQ(&a, &warm.LayerResult(l, v));
+      EXPECT_NE(&a, &b);
+      EXPECT_EQ(a.feasible, b.feasible);
+      EXPECT_EQ(a.t_intra, b.t_intra);
+      EXPECT_EQ(a.t_per_iteration, b.t_per_iteration);
+      EXPECT_EQ(a.weight_bytes, b.weight_bytes);
+      EXPECT_EQ(a.act_bytes_per_microbatch, b.act_bytes_per_microbatch);
+      EXPECT_EQ(a.work_bytes, b.work_bytes);
+      EXPECT_EQ(a.choice, b.choice);
+      EXPECT_TRUE(a.op_specs == b.op_specs);
+    }
+  }
+  EXPECT_GT(cold.num_ilp_solves(), 0);
+}
+
+TEST(ParallelCompile, MemoInsertReturnsResidentEntry) {
+  IlpMemoCache cache;
+  const IlpCacheKey key{1, 2};
+  auto first = std::make_shared<const IntraOpResult>();
+  auto loser = std::make_shared<const IntraOpResult>();
+  EXPECT_EQ(cache.Insert(key, first), first);
+  // A writer that lost the race adopts the resident entry.
+  EXPECT_EQ(cache.Insert(key, loser), first);
+  EXPECT_EQ(cache.Lookup(key), first);
+  EXPECT_EQ(cache.Lookup(IlpCacheKey{3, 4}), nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 TEST(ParallelCompile, CacheDisabledReSolves) {

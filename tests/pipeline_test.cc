@@ -2,8 +2,11 @@
 
 #include <cmath>
 
+#include "src/mesh/cluster_spec.h"
+#include "src/mesh/submesh.h"
 #include "src/runtime/pipeline_schedule.h"
 #include "src/runtime/simulator.h"
+#include "src/solver/stage_dp.h"
 
 namespace alpa {
 namespace {
@@ -207,6 +210,52 @@ TEST(SimulatorProperty, GpipeBubbleMatchesClosedForm) {
           << "S=" << stages << " M=" << microbatches;
     }
   }
+}
+
+TEST(SimulatorProperty, StageDpChargesAtMostBInFlightMicrobatches) {
+  // Four one-layer stages on four single devices with B = 2 < S = 4. Two
+  // layers never share a device (replicated weights would overflow it), and
+  // the first stage fits only if it is charged min(S, B) = 2 in-flight
+  // activations rather than S = 4; 1F1B never holds more.
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 4);
+  const std::vector<SubmeshShape> shapes = EnumerateSubmeshShapes(cluster);
+  const double memory = cluster.device.memory_bytes;
+  const StageProfileFn profile = [&](int begin, int end, int shape_index) {
+    const int layers = end - begin + 1;
+    const int devices = shapes[static_cast<size_t>(shape_index)].num_devices();
+    StageProfile p;
+    p.t_intra = 1.0 * layers / devices;
+    p.weight_bytes = 0.6 * memory * layers;
+    p.act_bytes_per_microbatch = 0.15 * memory * layers / devices;
+    return p;
+  };
+  // With B = S the bound is the stage position itself, and no plan fits.
+  EXPECT_FALSE(SolveStageDp(4, 4, cluster, shapes, profile).feasible);
+
+  const int microbatches = 2;
+  const StageDpResult plan = SolveStageDp(4, microbatches, cluster, shapes, profile);
+  ASSERT_TRUE(plan.feasible);
+  ASSERT_EQ(plan.stages.size(), 4u);
+  PipelineSimInput input;
+  input.num_microbatches = microbatches;
+  input.device_memory_bytes = memory;
+  for (const StageAssignment& stage : plan.stages) {
+    const StageProfile p = profile(stage.layer_begin, stage.layer_end, stage.shape_index);
+    StageExecProfile exec;
+    exec.t_forward = p.t_intra / 3.0;
+    exec.t_backward = p.t_intra - exec.t_forward;
+    exec.weight_bytes = p.weight_bytes;
+    exec.act_bytes_per_microbatch = p.act_bytes_per_microbatch;
+    exec.work_bytes = p.work_bytes;
+    input.stages.push_back(exec);
+  }
+  const PipelineSimResult result = SimulatePipeline(input);
+  EXPECT_FALSE(result.oom);
+  for (size_t s = 0; s < result.stage_peak_bytes.size(); ++s) {
+    EXPECT_LE(result.stage_peak_bytes[s], memory) << s;
+  }
+  // The first stage really holds B activations at its peak.
+  EXPECT_DOUBLE_EQ(result.stage_peak_bytes[0], 0.6 * memory + 2 * 0.15 * memory);
 }
 
 }  // namespace

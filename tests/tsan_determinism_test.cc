@@ -7,11 +7,15 @@
 // DP's parallel precompute, or the pool itself fails the run. Tracing is
 // enabled for both compiles so the recorder's lane buffers, the metrics
 // registry, and the exporter run under TSan too, and the "compile"-category
-// span multiset must be identical across thread counts. Kept small: TSan
+// span multiset must be identical across thread counts. A final warm
+// compile races IlpMemoCache::Clear() from another thread. Kept small: TSan
 // slows execution by an order of magnitude.
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/inter/inter_pass.h"
@@ -173,9 +177,32 @@ int main() {
       return 1;
     }
   }
+  // A warm compile racing IlpMemoCache::Clear(): profilers keep the memo
+  // results they already hold, cells that miss after a clear re-solve, and
+  // the plan must not move.
+  int clears = 0;
+  {
+    std::atomic<bool> done{false};
+    std::thread clearer([&done, &clears] {
+      while (!done.load()) {
+        IlpMemoCache::Global().Clear();
+        ++clears;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    Graph racing_graph = BuildGpt(config);
+    options.compile_threads = 4;
+    const CompiledPipeline racing = RunInterOpPass(racing_graph, cluster, options);
+    done.store(true);
+    clearer.join();
+    if (!racing.feasible || !PlanEquals(serial, racing)) {
+      std::fprintf(stderr, "FAIL: warm compile racing Clear() changed the plan\n");
+      return 1;
+    }
+  }
   std::printf("OK: plans identical under TSan (%lld solves serial, %lld parallel, "
-              "%zu compile span kinds)\n",
+              "%zu compile span kinds, %d memo clears during a warm compile)\n",
               static_cast<long long>(serial.stats.ilp_solves),
-              static_cast<long long>(parallel.stats.ilp_solves), serial_spans.size());
+              static_cast<long long>(parallel.stats.ilp_solves), serial_spans.size(), clears);
   return 0;
 }
