@@ -81,6 +81,16 @@ struct BoundarySets {
   std::vector<std::vector<int>> bwd;
 };
 
+// Each stage's [layer_begin, layer_end], for ExtractStages.
+std::vector<std::pair<int, int>> StageRanges(const CompiledPipeline& pipeline) {
+  std::vector<std::pair<int, int>> ranges;
+  ranges.reserve(pipeline.stages.size());
+  for (const CompiledStage& stage : pipeline.stages) {
+    ranges.emplace_back(stage.layer_begin, stage.layer_end);
+  }
+  return ranges;
+}
+
 // `owner[id]` is the stage whose layer range contains the op (-1 outside).
 std::vector<int> OwnerStages(const Graph& graph, const CompiledPipeline& pipeline) {
   std::vector<int> owner(static_cast<size_t>(graph.size()), -1);
@@ -899,6 +909,15 @@ Status ValidateInputs(const Graph& graph, const CompiledPipeline& pipeline,
       }
     }
   }
+  for (size_t s = 0; s < pipeline.stages.size(); ++s) {
+    const CompiledStage& stage = pipeline.stages[s];
+    if (stage.layer_begin > stage.layer_end ||
+        (s > 0 && stage.layer_begin <= pipeline.stages[s - 1].layer_end)) {
+      return Status::InvalidArgument(StrFormat(
+          "stage %zu layers [%d, %d] are empty or overlap the previous stage", s,
+          stage.layer_begin, stage.layer_end));
+    }
+  }
   if (static_cast<int64_t>(graph.size()) >= (int64_t{1} << 21)) {
     return Status::InvalidArgument("graph too large for transfer tags");
   }
@@ -921,11 +940,7 @@ Status ValidateInputs(const Graph& graph, const CompiledPipeline& pipeline,
 
 void AnnotatePrograms(const Graph& graph, const CompiledPipeline& pipeline,
                       std::vector<MeshProgram>* programs) {
-  std::vector<StageSubgraph> subs;
-  subs.reserve(pipeline.stages.size());
-  for (const CompiledStage& stage : pipeline.stages) {
-    subs.push_back(ExtractStage(graph, stage.layer_begin, stage.layer_end));
-  }
+  const std::vector<StageSubgraph> subs = ExtractStages(graph, StageRanges(pipeline));
   const BoundarySets sets = BuildBoundarySets(graph, subs, OwnerStages(graph, pipeline));
   for (MeshProgram& program : *programs) {
     const int s = program.stage;
@@ -962,6 +977,7 @@ StatusOr<ExecResult> ExecutePipeline(const Graph& graph, const CompiledPipeline&
   const int num_microbatches = sim_input.num_microbatches;
 
   // --- Stage contexts: subgraph, mesh, per-op layouts, programs. ---
+  const std::vector<StageSubgraph> subs = ExtractStages(graph, StageRanges(pipeline));
   std::vector<StageContext> ctx;
   ctx.reserve(static_cast<size_t>(num_stages));
   for (int s = 0; s < num_stages; ++s) {
@@ -969,7 +985,7 @@ StatusOr<ExecResult> ExecutePipeline(const Graph& graph, const CompiledPipeline&
     ctx.emplace_back(DeviceMesh::Create(cluster, stage.placement, stage.logical_shape));
     StageContext& c = ctx.back();
     c.index = s;
-    c.sub = ExtractStage(graph, stage.layer_begin, stage.layer_end);
+    c.sub = subs[static_cast<size_t>(s)];
     for (const BoundaryTensor& bt : c.sub.inputs) {
       c.ph_producer[c.sub.op_map[static_cast<size_t>(bt.producer_op)]] = bt.producer_op;
     }
@@ -1011,12 +1027,7 @@ StatusOr<ExecResult> ExecutePipeline(const Graph& graph, const CompiledPipeline&
   }
 
   // --- Boundary transfers: which tensors cross each boundary and how. ---
-  std::vector<StageSubgraph> subs_view;
-  subs_view.reserve(static_cast<size_t>(num_stages));
-  for (StageContext& c : ctx) {
-    subs_view.push_back(c.sub);  // Copy for the shared helper; cheap graphs.
-  }
-  const BoundarySets sets = BuildBoundarySets(graph, subs_view, OwnerStages(graph, pipeline));
+  const BoundarySets sets = BuildBoundarySets(graph, subs, OwnerStages(graph, pipeline));
 
   // The layout a tensor uses while resident on stage `t`: its stage op's
   // layout when consumed/produced there, a transit layout otherwise.

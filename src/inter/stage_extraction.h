@@ -9,6 +9,7 @@
 #ifndef SRC_INTER_STAGE_EXTRACTION_H_
 #define SRC_INTER_STAGE_EXTRACTION_H_
 
+#include <utility>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -34,6 +35,12 @@ struct StageSubgraph {
   // Tensors sent to later stages (forward) / earlier stages (grads).
   std::vector<BoundaryTensor> outputs;
 };
+
+// Extracts one subgraph per disjoint layer range [begin, end] (inclusive)
+// in a single pass over `graph`; result i is what ExtractStage would return
+// for ranges[i].
+std::vector<StageSubgraph> ExtractStages(const Graph& graph,
+                                         const std::vector<std::pair<int, int>>& ranges);
 
 // Extracts the subgraph of layers [begin, end] (inclusive).
 StageSubgraph ExtractStage(const Graph& graph, int layer_begin, int layer_end);

@@ -81,10 +81,12 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
     : graph_(graph), cluster_(cluster), options_(options), pool_(pool) {
   num_layers_ = graph.NumLayers();
   ALPA_CHECK_GT(num_layers_, 0) << "Graph must be layer-tagged before profiling";
-  layer_subgraphs_.reserve(static_cast<size_t>(num_layers_));
+  std::vector<std::pair<int, int>> layer_ranges;
+  layer_ranges.reserve(static_cast<size_t>(num_layers_));
   for (int l = 0; l < num_layers_; ++l) {
-    layer_subgraphs_.push_back(ExtractStage(graph, l, l));
+    layer_ranges.emplace_back(l, l);
   }
+  layer_subgraphs_ = ExtractStages(graph, layer_ranges);
 
   // Structural dedup of identical layers, keyed on the 64-bit hash. The
   // hashes double as memo-cache keys, so they are computed even when dedup

@@ -285,6 +285,14 @@ TEST(ExecEquivalence, RejectsDriftedSimInputAndSignalOnlyPlans) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+  {  // Stage layer ranges must ascend without overlap.
+    ParallelPlan plan = *compiled;
+    ASSERT_GE(plan.pipeline.stages.size(), 2u);
+    plan.pipeline.stages[1].layer_begin = plan.pipeline.stages[0].layer_end;
+    const StatusOr<ExecResult> result = ExecutePlan(plan, graph, cluster, {});
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
   {  // kSignalOnly cannot carry tensors.
     exec::ExecOptions exec_options;
     exec_options.reshard = ReshardStrategy::kSignalOnly;
